@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Hashable
 
-from repro.geometry.circle import Circle
+from repro.geometry.circle import BOUNDARY_REL_TOL, Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -176,8 +176,21 @@ class KNNQuery(Query):
         return self.quarantine_circle().contains_point(p)
 
     def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.quarantine_contains(p)
-        inside_old = p_lst is not None and self.quarantine_contains(p_lst)
+        # The arithmetic of ``quarantine_contains`` (squared distance
+        # against ``r*r``), inlined to share the old point's distance.
+        center = self.center
+        rr = self._radius * self._radius
+        inside_new = center.squared_distance_to(p) <= rr
+        if p_lst is None:
+            return inside_new
+        d2 = center.squared_distance_to(p_lst)
+        if abs(d2 - rr) <= BOUNDARY_REL_TOL * rr:
+            # On the circle: with a distance tie at the k-th place the
+            # radius equals the tied distance, and containment rounds a
+            # tied result or non-result to either side, so a result can
+            # leave and a non-result enter without a visible crossing.
+            return True
+        inside_old = d2 <= rr
         if self.order_sensitive:
             # Order may change from movement *within* the quarantine area:
             # unaffected only when both endpoints lie outside (Section 3.3).

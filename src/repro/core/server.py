@@ -56,6 +56,11 @@ PositionOracle = Callable[[ObjectId], Point]
 
 UNIT_SPACE = Rect(0.0, 0.0, 1.0, 1.0)
 
+#: Smallest batch the tick planner plans.  A one-report plan pays a
+#: full gather/dispatch/scatter round for one row and saves nothing:
+#: the sequential path does the same kernel work inline.
+MIN_PLANNED_REPORTS = 2
+
 
 @dataclass(frozen=True, slots=True)
 class ServerConfig:
@@ -840,8 +845,9 @@ class DatabaseServer:
         whole batch falls back to plain submission order — the documented
         sequential contract holds either way.
 
-        When the batch is cleanly orderable (unique ids, monotone time,
-        no event stream, no degraded objects), processing runs through
+        When the batch is cleanly orderable (at least two reports, unique
+        ids, monotone time, no event stream, no degraded objects — the
+        gate of ``_plannable``), processing runs through
         the tick-wide planner pipeline (docs/PERFORMANCE.md): the
         predictable kernel work of every report — range-affected flips
         and Section 5.3 corner candidates — is gathered into columns and
@@ -876,11 +882,7 @@ class DatabaseServer:
             # Stable sort over the already index-ordered range: equal cells
             # keep submission order, so the key collapses to the cell alone.
             ordered = sorted(range(len(reports)), key=cells.__getitem__)
-            if (
-                not self.events.enabled
-                and not self._degraded
-                and time >= self._clock
-            ):
+            if self._plannable(oids, time):
                 self._bulk_updates(reports, ordered, cells, time, batch)
             else:
                 for i in ordered:
@@ -909,19 +911,14 @@ class DatabaseServer:
         operation simply falls back to the scalar path: results are
         bit-identical with or without the plan.
 
-        The gate mirrors ``handle_location_updates``: duplicate object
-        ids, an enabled event stream, degraded objects, or a
-        non-monotone timestamp skip planning entirely.
+        It shares the gate of ``handle_location_updates``
+        (``_plannable``): fewer than two reports, duplicate object ids,
+        an enabled event stream, degraded objects, or a non-monotone
+        timestamp skip planning entirely.
         """
         reports = list(reports)
         oids = [oid for oid, _ in reports]
-        if (
-            not reports
-            or len(set(oids)) != len(oids)
-            or self.events.enabled
-            or self._degraded
-            or time < self._clock
-        ):
+        if not self._plannable(oids, time):
             yield
             return
         cells = self.query_index.cells_of_points(
@@ -938,6 +935,23 @@ class DatabaseServer:
             yield
         finally:
             self._tick_plan = None
+
+    def _plannable(self, oids: list, time: float) -> bool:
+        """The tick planner's gate, shared by both batch entry points.
+
+        A batch plans only when it holds at least
+        ``MIN_PLANNED_REPORTS`` reports with unique object ids (cell
+        order must not reorder one object's reports), no event stream
+        is recording (it documents per-report causality the bulk path
+        elides), no object is degraded, and time is monotone.
+        """
+        return (
+            len(oids) >= MIN_PLANNED_REPORTS
+            and len(set(oids)) == len(oids)
+            and not self.events.enabled
+            and not self._degraded
+            and time >= self._clock
+        )
 
     def _plan_tick(self, reports, ordered, cells, prev_pts):
         """Gather the batch's predictable kernel work and dispatch it.

@@ -9,6 +9,15 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 
+#: Relative tolerance, on squared distances, within which a point counts
+#: as lying on a quarantine circle.  Radii are computed from ``hypot``
+#: distances while containment compares squared distances, so a point
+#: tied at the radius can round to either side of ``contains_point``; a
+#: few ulps would do, and the wider margin only costs a spare
+#: reevaluation.
+BOUNDARY_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True, slots=True)
 class Circle:
     """A closed disk centred at ``center`` with radius ``radius``."""

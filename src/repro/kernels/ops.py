@@ -35,6 +35,7 @@ import heapq
 import math
 from typing import Sequence
 
+from repro.geometry.circle import BOUNDARY_REL_TOL
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY
 
 try:  # pragma: no cover — exercised implicitly by backend resolution
@@ -707,7 +708,7 @@ class Kernels:
         nys: Sequence[float],
         oxs: Sequence[float],
         oys: Sequence[float],
-    ) -> tuple[list[bool], list[bool]]:
+    ) -> tuple[list[bool], list[bool], list[bool]]:
         """Segmented quarantine-circle membership gates for kNN queries.
 
         Each report contributes one point pair and ``seg_lens[k]``
@@ -715,10 +716,12 @@ class Kernels:
         ``Circle.contains_point`` with ``eps == 0`` exactly: the centre-
         minus-point squared distance (``dx*dx + dy*dy``, matching
         ``Point.squared_distance_to``'s operand order) against ``r*r``.
-        Returns ``(in_new, in_old)`` masks in circle-row order; the
-        delta consumer turns them into ``is_affected_by`` verdicts and
-        feeds them to ``reevaluate_knn`` so the scalar path never
-        re-tests the quarantine circle.
+        Returns ``(in_new, in_old, on_old)`` masks in circle-row order,
+        ``on_old`` flagging an old point on the circle within
+        ``BOUNDARY_REL_TOL`` (the test of ``KNNQuery.is_affected_by``);
+        the delta consumer turns them into ``is_affected_by`` verdicts
+        and feeds the first two to ``reevaluate_knn`` so the scalar path
+        never re-tests the quarantine circle.
         """
         n = len(cxs)
         if self._batch(n):
@@ -737,10 +740,13 @@ class Kernels:
             dxo = cx - ox
             dyo = cy - oy
             in_new = dxn * dxn + dyn * dyn <= rr
-            in_old = dxo * dxo + dyo * dyo <= rr
-            return in_new.tolist(), in_old.tolist()
+            d2o = dxo * dxo + dyo * dyo
+            in_old = d2o <= rr
+            on_old = np.abs(d2o - rr) <= BOUNDARY_REL_TOL * rr
+            return in_new.tolist(), in_old.tolist(), on_old.tolist()
         in_new = []
         in_old = []
+        on_old = []
         i = 0
         for k, seg in enumerate(seg_lens):
             nx, ny, ox, oy = nxs[k], nys[k], oxs[k], oys[k]
@@ -751,10 +757,12 @@ class Kernels:
                 dxo = cx - ox
                 dyo = cy - oy
                 rr = r * r
+                d2o = dxo * dxo + dyo * dyo
                 in_new.append(dxn * dxn + dyn * dyn <= rr)
-                in_old.append(dxo * dxo + dyo * dyo <= rr)
+                in_old.append(d2o <= rr)
+                on_old.append(abs(d2o - rr) <= BOUNDARY_REL_TOL * rr)
                 i += 1
-        return in_new, in_old
+        return in_new, in_old, on_old
 
     def quadrant_corners_grouped(
         self,

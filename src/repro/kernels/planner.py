@@ -374,7 +374,7 @@ class TickPlanner:
             if profile_on:
                 profiler.push("kernel.dispatch")
             nxs, nys, oxs, oys = self._pts.columns()
-            affected = inside = in_new = in_old = ()
+            affected = inside = in_new = in_old = on_old = ()
             if n_aff:
                 affected, inside = self.kernels.affected_deltas(
                     *self._aff_buf.columns(),
@@ -382,7 +382,7 @@ class TickPlanner:
                 )
                 self._m_dispatches.inc()
             if n_knn:
-                in_new, in_old = self.kernels.knn_gate_rows(
+                in_new, in_old, on_old = self.kernels.knn_gate_rows(
                     *self._knn_buf.columns(),
                     self._seg_klens, nxs, nys, oxs, oys,
                 )
@@ -408,10 +408,13 @@ class TickPlanner:
                 for q in knn:
                     gate_new = in_new[ko]
                     gate_old = in_old[ko]
-                    # ``is_affected_by`` from the gates: order-sensitive
-                    # queries react to any quarantine touch, unordered
-                    # ones only to a membership flip.
-                    if q.order_sensitive:
+                    # ``is_affected_by`` from the gates: a start on the
+                    # circle always counts, then order-sensitive queries
+                    # react to any quarantine touch, unordered ones only
+                    # to a membership flip.
+                    if on_old[ko]:
+                        hit = True
+                    elif q.order_sensitive:
                         hit = gate_new or gate_old
                     else:
                         hit = gate_new != gate_old

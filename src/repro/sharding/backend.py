@@ -133,20 +133,25 @@ class ShardBackend:
         every query the ops may have touched, and the compute seconds
         the batch cost this shard.
 
-        The stream's location updates are pre-planned through the
-        server's tick planner (``DatabaseServer.planned_tick``): their
-        predictable kernel work is gathered and dispatched in one
-        columnar pass up front, and each per-op call consumes its
-        verdicts where still valid.  The coordinator needs per-op
-        outcomes, so the ops themselves still run one by one — results
-        are bit-identical either way (the shard-equivalence pin in
-        ``benchmarks/test_shards_bench.py`` holds the proof).
+        A stream carrying two or more location updates is pre-planned
+        through the server's tick planner (``DatabaseServer.planned_tick``
+        — a single update never plans): their predictable kernel work is
+        gathered and dispatched in one columnar pass up front, and each
+        per-op call consumes its verdicts where still valid.  Plan
+        entries validate on ``Point`` identity, so each op's point is
+        built once and shared by the plan and the call.  The coordinator
+        needs per-op outcomes, so the ops themselves still run one by
+        one — results are bit-identical either way (the
+        shard-equivalence pin in ``benchmarks/test_shards_bench.py``
+        holds the proof).
         """
         start = _time.process_time()
         outcomes = []
         touched: set[ObjectId] = set()
+        points = [Point(*op[2]) if len(op) > 2 else None for op in ops]
         updates = [
-            (op[1], Point(*op[2])) for op in ops if op[0] == "update"
+            (op[1], point)
+            for op, point in zip(ops, points) if op[0] == "update"
         ]
         # One profiled tick per batch op: the plan's gather/dispatch and
         # every per-op phase nest under it (per-op auto-roots defer to
@@ -155,16 +160,14 @@ class ShardBackend:
         owns_tick = profiler.enabled and profiler.tick_begin()
         try:
             with self.server.planned_tick(updates, time):
-                for op in ops:
+                for op, point in zip(ops, points):
                     kind, oid = op[0], op[1]
                     if kind == "update":
                         outcome = self.server.handle_location_update(
-                            oid, Point(*op[2]), time
+                            oid, point, time
                         )
                     elif kind == "add":
-                        outcome = self.server.add_object(
-                            oid, Point(*op[2]), time
-                        )
+                        outcome = self.server.add_object(oid, point, time)
                     elif kind == "evict":
                         outcome = self.server.evict_object(oid, time)
                     else:
@@ -289,7 +292,7 @@ class ShardBackend:
             for change in outcome.changes:
                 affected.add(change.query_id)
         for query in self._queries.values():
-            if any(oid in query.results for oid in touched):
+            if not touched.isdisjoint(query.results):
                 affected.add(query.query_id)
         return self.query_partials(sorted(affected))
 

@@ -12,13 +12,16 @@
   ``results``/``radius`` the coordinator maintains from per-shard
   partial results.  Range results are the union of the holders'
   partials; kNN pools each holder's local members (with their
-  safe-region distance bounds) and re-ranks them with
-  ``kernels.top_k_rows``, exact distances first, object id on ties;
+  safe-region distance bounds) and re-ranks them by squared distance,
+  object id on ties (one plain ``sorted`` — the pools hold a few dozen
+  rows, too few for an array dispatch to pay);
 * the **fan-out ledger** (query → holder shards).  A kNN view's merged
   radius is the conservative bound ``max_dist`` of its k-th pooled
   candidate; whenever the bound's circle reaches cells of a non-holder,
   the query is registered there too (sticky), so the merged top-k can
-  never miss an object a holder does not see.
+  never miss an object a holder does not see.  The largest radius a
+  check found fully covered is remembered per view, so a remerge whose
+  radius stays within it skips the check.
 
 Shards run in-process (``n_workers=0`` — deterministic, and results
 are pinned equivalent to the single-server baseline in
@@ -45,7 +48,6 @@ from repro.faults import ProbeTimeout
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.kernels import Kernels
 from repro.obs import (
     NULL_EVENT_LOG,
     NULL_REGISTRY,
@@ -58,6 +60,25 @@ from repro.sharding.shardmap import ShardMap
 from repro.sharding.worker import WorkerShard
 
 ObjectId = Hashable
+
+
+def rank_rows(
+    xs: list[float], ys: list[float], qx: float, qy: float, k: int
+) -> list[int]:
+    """Rows of the ``k`` nearest points, ordered by ``(d2, row)``.
+
+    The merge's top-k: the arithmetic and tie rule of
+    :meth:`repro.kernels.Kernels.top_k_rows` (``d2 = dx*dx + dy*dy`` in
+    float64, row index on exact ties) as one plain ``sorted``, which
+    beats an array dispatch on pools of a few dozen rows.
+    """
+    ranked = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        dx = x - qx
+        dy = y - qy
+        ranked.append((dx * dx + dy * dy, i))
+    ranked.sort()
+    return [i for _, i in ranked[:max(k, 0)]]
 
 
 class InProcessShard:
@@ -161,10 +182,6 @@ class ShardedServer:
         self._probe_memo: dict[ObjectId, tuple[float, float] | None] = {}
         self.map = ShardMap(live_ids, self.config.grid_m)
         self.router = ShardRouter(self.map, self.config.space)
-        self.kernels = Kernels(
-            self.config.kernel_backend,
-            min_rows=self.config.kernel_min_rows,
-        )
         space = self.config.space
         self._diameter = math.hypot(space.width, space.height)
 
@@ -173,6 +190,12 @@ class ShardedServer:
         self._views: dict[str, Query] = {}
         self._partials: dict[str, dict[int, dict]] = {}
         self._holders: dict[str, set[int]] = {}
+        #: Fan-out memo: per kNN view, the largest merged radius at
+        #: which ``shards_for_circle`` found every needed shard already
+        #: holding the query.  The centre is fixed and the covered cell
+        #: set only grows with the radius, so any radius at or below it
+        #: is covered too.  Dropped on every holder or topology change.
+        self._covered: dict[str, float] = {}
         self._dead: set[int] = set()
         self._dead_at: dict[int, float] = {}
         self._retired: set[int] = set(range(n_shards)) - set(live_ids)
@@ -493,6 +516,7 @@ class ShardedServer:
         del self._views[qid]
         del self._partials[qid]
         del self._holders[qid]
+        self._covered.pop(qid, None)
 
     # ------------------------------------------------------------------
     # Location updates
@@ -614,6 +638,7 @@ class ShardedServer:
             )
         self._dead.add(shard_id)
         self._dead_at[shard_id] = now
+        self._covered.clear()
         self._shards[shard_id].kill()
         if self.events.enabled:
             self.events.set_time(now)
@@ -693,6 +718,7 @@ class ShardedServer:
             self.n_workers += 1
         self.map = new_map
         self.router = ShardRouter(new_map, self.config.space)
+        self._covered.clear()
         outcome = UpdateOutcome()
         self._cover_queries(now, outcome)
         self._migrate(migrating, now, outcome)
@@ -747,6 +773,7 @@ class ShardedServer:
         ]
         self.map = new_map
         self.router = ShardRouter(new_map, self.config.space)
+        self._covered.clear()
         outcome = UpdateOutcome()
         self._cover_queries(now, outcome)
         self._migrate(migrating, now, outcome)
@@ -1017,6 +1044,7 @@ class ShardedServer:
         spec = query_spec(self._views[qid])
         resp = self._shards[shard].call("register", spec, time)
         self._holders[qid].add(shard)
+        self._covered.pop(qid, None)
         self._partials[qid][shard] = resp["partial"]
         for other, partial in resp["partials"].items():
             if other != qid and other in self._partials:
@@ -1061,6 +1089,7 @@ class ShardedServer:
             self._shards[shard].call("deregister", qid)
             self._holders[qid].discard(shard)
             self._partials[qid].pop(shard, None)
+            self._covered.pop(qid, None)
 
     def _degraded_members(self, qid: str) -> tuple:
         view = self._views[qid]
@@ -1079,7 +1108,9 @@ class ShardedServer:
         conservative bound may cover cells of non-holders; those shards
         are registered (their registration evaluates local objects) and
         the merge repeats.  The bound only shrinks as holders join, so
-        the loop visits each shard at most once.
+        the loop visits each shard at most once.  A radius within the
+        view's fan-out memo (``_covered``) is known covered and skips
+        the check.
         """
         view = self._views[qid]
         before = view.result_snapshot()
@@ -1088,11 +1119,14 @@ class ShardedServer:
             if not isinstance(view, KNNQuery):
                 break
             radius = view.radius if view.radius > 0 else self._diameter
+            if radius <= self._covered.get(qid, -1.0):
+                break
             needed = self.router.shards_for_circle(
                 Circle(view.center, radius), frozenset(self._dead)
             )
             missing = sorted(needed - self._holders[qid])
             if not missing:
+                self._covered[qid] = radius
                 break
             for shard in missing:
                 self._register_on(qid, shard, time, outcome)
@@ -1154,9 +1188,7 @@ class ShardedServer:
         ys = [r[2] for r in rows]
         if self.refresh_probes and rows:
             self._refresh_rows(rows, xs, ys, bound)
-        top = self.kernels.top_k_rows(
-            xs, ys, view.center.x, view.center.y, view.k,
-        )
+        top = rank_rows(xs, ys, view.center.x, view.center.y, view.k)
         view.results = [rows[i][0] for i in top]
         # The merged radius stays the conservative k-th ``max_dist``
         # even when probes tightened the ranking: the fan-out expansion

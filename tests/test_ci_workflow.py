@@ -65,8 +65,13 @@ def test_workflow_parses_and_validates(workflow):
 def test_expected_jobs_present(workflow):
     assert set(workflow["jobs"]) == {
         "lint", "test", "bench-smoke", "bench-hotpath", "bench-kernels",
-        "bench-shards", "fault-matrix", "profile-smoke",
+        "bench-shards", "fault-matrix", "profile-smoke", "perfbench-pins",
     }
+
+
+def test_perfbench_pins_job_runs_the_pins(workflow):
+    runs = _runs(workflow["jobs"]["perfbench-pins"])
+    assert "python3 -m pytest perfbench -q" in runs
 
 
 def test_concurrency_cancels_superseded_pr_runs(workflow):

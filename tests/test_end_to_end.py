@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
 from repro.geometry import Point, Rect
+from repro.obs import MetricsRegistry
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -134,3 +135,60 @@ def test_enhancements_preserve_exactness(world, use_steadiness):
         if not server.safe_region_of(oid).contains_point(positions[oid]):
             server.handle_location_update(oid, positions[oid], t)
         check_exact(queries, positions)
+
+
+
+# With a distance tie at the k-th place the quarantine radius equals the
+# tied distance, so results and non-results sit on the circle, and the
+# squared-distance containment test can round either to either side.
+# Each scenario runs once report by report and once as a planned batch.
+_ORIGIN = Point(0.0, 0.0)
+TIED_SCENARIOS = [
+    pytest.param(
+        [_ORIGIN] * 16, Point(1.0, 0.0), False,
+        ServerConfig(grid_m=3, max_speed=5.0), 1, Point(1.0, 0.0),
+        id="unordered-non-result-enters-from-the-circle",
+    ),
+    pytest.param(
+        [_ORIGIN, Point(0.25, 0.0), _ORIGIN, _ORIGIN,
+         Point(0.0, 1.0), Point(0.0, 1.0)],
+        Point(0.015625, 0.34375), True, ServerConfig(grid_m=3),
+        0, Point(0.0, 1.0),
+        id="ordered-result-leaves-from-the-circle",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "world, center, order_sensitive, config, mover, target", TIED_SCENARIOS
+)
+@pytest.mark.parametrize("batched", [False, True])
+def test_tied_quarantine_boundary_is_exact(
+    world, center, order_sensitive, config, mover, target, batched
+):
+    positions = dict(enumerate(world))
+    registry = MetricsRegistry()
+    server = DatabaseServer(
+        position_oracle=lambda oid: positions[oid], config=config,
+        metrics=registry,
+    )
+    server.load_objects(positions.items())
+    queries = [
+        RangeQuery(Rect(0.0, 0.0, 0.05, 0.05), query_id="r0"),
+        KNNQuery(center, 1, order_sensitive=order_sensitive, query_id="k0"),
+    ]
+    for query in queries:
+        server.register_query(query)
+    # A second mover, far from the query, makes the batch plannable.
+    bystander = len(world) - 1
+    positions[mover] = target
+    positions[bystander] = Point(0.9, 0.9)
+    reports = [(mover, target), (bystander, positions[bystander])]
+    if batched:
+        server.handle_location_updates(reports, 1.0)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("kernels.planner.plans", 0) > 0
+    else:
+        for oid, p in reports:
+            server.handle_location_update(oid, p, 1.0)
+    check_exact(queries, positions)

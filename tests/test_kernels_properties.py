@@ -12,6 +12,7 @@ duplicated points producing exact distance ties, and degenerate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import KNNQuery
 from repro.geometry import Point, Rect
 from repro.kernels import HAS_NUMPY, Kernels, PositionStore, resolve_backend
 
@@ -174,6 +175,53 @@ class TestRectKernels:
         width, height = 0.05 + size[0], 0.05 + size[1]
         assert NP_K.quadrant_corners(px, py, *columns, sx, sy, width, height) == \
             PY_K.quadrant_corners(px, py, *columns, sx, sy, width, height)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_knn_gate_rows_agree_with_is_affected_by(self, data):
+        # Lattice points, radii measured to lattice points: old positions
+        # land exactly on circles, where the boundary mask matters.
+        lattice = st.integers(-4, 4).map(lambda v: v / 4)
+        pairs = data.draw(st.lists(
+            st.tuples(lattice, lattice, lattice, lattice),
+            min_size=1, max_size=5,
+        ))
+        seg_lens, cxs, cys, rads = [], [], [], []
+        for _ in pairs:
+            circles = data.draw(st.lists(
+                st.tuples(lattice, lattice, lattice, lattice), max_size=4,
+            ))
+            seg_lens.append(len(circles))
+            for cx, cy, ex, ey in circles:
+                cxs.append(cx)
+                cys.append(cy)
+                rads.append(Point(cx, cy).distance_to(Point(ex, ey)))
+        columns = (
+            cxs, cys, rads, seg_lens,
+            [p[0] for p in pairs], [p[1] for p in pairs],
+            [p[2] for p in pairs], [p[3] for p in pairs],
+        )
+        gates = NP_K.knn_gate_rows(*columns)
+        assert gates == PY_K.knn_gate_rows(*columns)
+        in_new, in_old, on_old = gates
+        row = 0
+        for (nx, ny, ox, oy), seg in zip(pairs, seg_lens):
+            for _ in range(seg):
+                for ordered in (True, False):
+                    q = KNNQuery(
+                        Point(cxs[row], cys[row]), 1, order_sensitive=ordered
+                    )
+                    q.radius = rads[row]
+                    if on_old[row]:
+                        hit = True
+                    elif ordered:
+                        hit = in_new[row] or in_old[row]
+                    else:
+                        hit = in_new[row] != in_old[row]
+                    assert hit == q.is_affected_by(
+                        Point(nx, ny), Point(ox, oy)
+                    )
+                row += 1
 
     @settings(max_examples=120)
     @given(st.lists(coord, min_size=1, max_size=40), coord)

@@ -274,11 +274,25 @@ class TestBulkGating:
 class TestPlannedTickContext:
     def test_installs_and_clears_the_plan(self):
         live, server, rng = _world()
-        # A report into a query-holding cell always has plannable work.
-        oid = sorted(live)[0]
-        with server.planned_tick([(oid, Point(0.3, 0.3))], time=1.0):
+        # Reports into a query-holding cell always have plannable work.
+        a, b = sorted(live)[:2]
+        reports = [(a, Point(0.3, 0.3)), (b, Point(0.35, 0.35))]
+        with server.planned_tick(reports, time=1.0):
             assert server._tick_plan is not None
         assert server._tick_plan is None
+
+    def test_single_report_skips_planning(self):
+        # A one-report plan pays a whole gather/dispatch/scatter round
+        # for one row; the sequential path does the same work inline.
+        registry = MetricsRegistry()
+        live, server, rng = _world(metrics=registry)
+        oid = sorted(live)[0]
+        with server.planned_tick([(oid, Point(0.3, 0.3))], time=1.0):
+            assert server._tick_plan is None
+            server.handle_location_update(oid, Point(0.3, 0.3), 1.0)
+        server.handle_location_updates([(oid, Point(0.31, 0.31))], time=2.0)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("kernels.planner.plans", 0) == 0
 
     def test_duplicate_ids_skip_planning(self):
         live, server, rng = _world()
